@@ -35,52 +35,6 @@ def refill(state_lock, flush_cond):
             pass
 
 
-# -- rpc-surface --------------------------------------------------------------
-# A miniature three-copy wire contract that has drifted in every
-# direction: the allowlist carries an op nobody serves or calls
-# ("forgotten"), the client invokes an op the allowlist dropped
-# ("renamed"), and Request grew a mandatory wire key.
-
-STORE_OPS = frozenset({"ping", "forgotten"})
-COLLECTION_OPS = frozenset({"get"})
-
-
-class Request:
-    id: int
-    ops: list = None
-    priority: int                   # new wire key without a default
-
-
-class Response:
-    id: int
-    results: list = None
-
-
-class ShardWorker:
-    def _execute_store(self, method, args, kwargs):
-        if method == "ping":
-            return {}
-        raise RuntimeError(method)  # also an error-rehydration finding
-
-    def _execute_collection(self, name, method, args, kwargs):
-        if method == "get":
-            return None
-        raise RuntimeError(method)
-
-
-class RemoteShardStore:
-    def ping(self):
-        return self._store_call("ping")
-
-    def renamed(self):
-        return self._store_call("renamed")
-
-
-class RemoteCollection:
-    def get(self, doc_id):
-        return self._one("get", doc_id)
-
-
 # -- error-rehydration --------------------------------------------------------
 # LookupError is not in repro.errors, so a worker raising it would come
 # back to the client as a generic ProcessPlaneError.

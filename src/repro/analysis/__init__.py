@@ -2,8 +2,8 @@
 
 An AST-based rule engine that mechanizes the hand-maintained invariants
 the codebase's correctness rests on: lock discipline in the streaming
-and durability cores, three-way RPC-surface consistency, by-name error
-rehydration, spawn-safe worker imports, and metric-catalog hygiene.
+and durability cores, by-name error rehydration, spawn-safe worker
+imports, and metric-catalog hygiene.
 
 Entry points:
 

@@ -1,12 +1,9 @@
 """The launch rule set.
 
-Five project-specific invariants, each its own module:
+Four project-specific invariants, each its own module:
 
 * :mod:`repro.analysis.rules.locks` — no blocking I/O under a lock; no
   lock-acquisition-order cycles across the tree.
-* :mod:`repro.analysis.rules.rpc` — protocol allowlists, worker dispatch
-  and the remote client surface stay in three-way sync; new wire keys
-  must be optional.
 * :mod:`repro.analysis.rules.errors_rule` — exceptions raised on RPC
   code paths must rehydrate by name via ``repro.errors``.
 * :mod:`repro.analysis.rules.spawn` — the worker entrypoint's import
@@ -21,14 +18,12 @@ from repro.analysis.engine import Rule
 from repro.analysis.rules.errors_rule import ErrorRehydrationRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.metrics import MetricDriftRule
-from repro.analysis.rules.rpc import RpcSurfaceRule
 from repro.analysis.rules.spawn import SpawnSafetyRule
 
 __all__ = [
     "ErrorRehydrationRule",
     "LockDisciplineRule",
     "MetricDriftRule",
-    "RpcSurfaceRule",
     "SpawnSafetyRule",
     "default_rules",
 ]
@@ -37,7 +32,6 @@ __all__ = [
 def default_rules() -> list[Rule]:
     return [
         LockDisciplineRule(),
-        RpcSurfaceRule(),
         ErrorRehydrationRule(),
         SpawnSafetyRule(),
         MetricDriftRule(),

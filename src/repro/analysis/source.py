@@ -152,13 +152,3 @@ class SourceTree:
             if len(basenames) == 1:
                 return basenames[0]
         return None
-
-    def find_class(self, name: str) -> tuple[SourceFile, ast.ClassDef] | None:
-        """First class definition called ``name`` anywhere in the tree."""
-        for file in self.files:
-            if file.tree is None:
-                continue
-            for node in file.tree.body:
-                if isinstance(node, ast.ClassDef) and node.name == name:
-                    return file, node
-        return None

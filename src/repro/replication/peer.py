@@ -46,17 +46,11 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import DurabilityError, ReplicationError, StaleEpochError
+from repro.runtime.protocol import WRITE_OPS
 
-__all__ = ["EpochFile", "LocalReplicaPeer", "REPLICATED_WRITE_METHODS"]
+__all__ = ["EpochFile", "LocalReplicaPeer"]
 
 _EPOCH_NAME = "EPOCH"
-
-#: Collection methods :meth:`LocalReplicaPeer.apply_write` may dispatch —
-#: exactly the journaled write surface.  Reads never need the fence.
-REPLICATED_WRITE_METHODS = frozenset({
-    "insert_one", "insert_many", "update_many", "delete_many",
-    "create_index", "drop_index",
-})
 
 
 class EpochFile:
@@ -171,7 +165,8 @@ class LocalReplicaPeer:
         a follower whose acked frontier reaches it has durably applied
         this write, which is the ``sync`` ack-mode condition.
         """
-        if method not in REPLICATED_WRITE_METHODS:
+        # Only the journaled write surface; reads never need the fence.
+        if method not in WRITE_OPS:
             raise ReplicationError(
                 f"method {method!r} is not a replicated write"
             )

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import (
     ConfigurationError,
@@ -48,8 +48,8 @@ from repro.errors import (
     StaleEpochError,
 )
 from repro.obs.registry import get_registry
-from repro.replication.peer import REPLICATED_WRITE_METHODS
 from repro.replication.shipper import LogShipper
+from repro.runtime.protocol import COLL, WRITE_OPS, apply_op, forward_ops
 
 __all__ = ["ReplicaController", "ReplicaSet", "ReplicatedCollection"]
 
@@ -85,73 +85,24 @@ def _peer_status(peer: Any) -> dict[str, Any] | None:
         return None
 
 
+@forward_ops(COLL)
 class ReplicatedCollection:
-    """Collection facade routing writes to the leader, reads per policy."""
+    """Collection facade routing writes to the leader, reads per policy.
+
+    Its methods derive from the op table (:func:`forward_ops`): the
+    journaled writes go through the fenced, replicated ``_write``, and
+    everything else through ``_read``.
+    """
 
     def __init__(self, replica_set: "ReplicaSet", name: str) -> None:
         self._set = replica_set
         self.name = name
 
-    # -- writes (fenced, replicated) --------------------------------------------------
-
-    def insert_one(self, document: Mapping[str, Any]) -> int:
-        return self._set._write(self.name, "insert_one", dict(document))
-
-    def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[int]:
-        return self._set._write(
-            self.name, "insert_many", [dict(d) for d in documents]
-        )
-
-    def update_many(self, filter_doc: Mapping[str, Any], update: Any) -> int:
-        return self._set._write(
-            self.name, "update_many", dict(filter_doc), update
-        )
-
-    def delete_many(self, filter_doc: Mapping[str, Any]) -> int:
-        return self._set._write(self.name, "delete_many", dict(filter_doc))
-
-    def create_index(self, field: str, kind: str = "hash",
-                     unique: bool = False) -> None:
-        self._set._write(self.name, "create_index", field,
-                         kind=kind, unique=unique)
-
-    def drop_index(self, field: str) -> None:
-        self._set._write(self.name, "drop_index", field)
-
-    # -- reads (leader or follower) ---------------------------------------------------
+    def _write(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self._set._write(self.name, method, *args, **kwargs)
 
     def _read(self, method: str, *args: Any, **kwargs: Any) -> Any:
         return self._set._read_collection(self.name, method, *args, **kwargs)
-
-    def find(self, *args: Any, **kwargs: Any) -> list[dict[str, Any]]:
-        return self._read("find", *args, **kwargs)
-
-    def find_one(self, *args: Any, **kwargs: Any) -> dict[str, Any] | None:
-        return self._read("find_one", *args, **kwargs)
-
-    def get(self, doc_id: int) -> dict[str, Any] | None:
-        return self._read("get", doc_id)
-
-    def count(self, *args: Any, **kwargs: Any) -> int:
-        return self._read("count", *args, **kwargs)
-
-    def distinct(self, *args: Any, **kwargs: Any) -> list[Any]:
-        return self._read("distinct", *args, **kwargs)
-
-    def explain(self, *args: Any, **kwargs: Any) -> dict[str, Any]:
-        return self._read("explain", *args, **kwargs)
-
-    def index_fields(self) -> list[str]:
-        return self._read("index_fields")
-
-    def index_spec(self, field: str) -> dict[str, Any]:
-        return self._read("index_spec", field)
-
-    def all_documents(self) -> Iterator[dict[str, Any]]:
-        return iter(self._read("all_documents"))
-
-    def __len__(self) -> int:
-        return self._read("length")
 
 
 class ReplicaSet:
@@ -347,7 +298,7 @@ class ReplicaSet:
 
     def _write(self, collection: str, method: str, *args: Any,
                **kwargs: Any) -> Any:
-        if method not in REPLICATED_WRITE_METHODS:
+        if method not in WRITE_OPS:
             raise ReplicationError(f"method {method!r} is not a replicated write")
         with self._lock:
             self._check_open()
@@ -401,12 +352,7 @@ class ReplicaSet:
     @staticmethod
     def _read_once(peer: Any, collection: str, method: str, *args: Any,
                    **kwargs: Any) -> Any:
-        coll = peer.collection(collection)
-        if method == "length":
-            return len(coll)
-        if method == "all_documents":
-            return list(coll.all_documents())
-        return getattr(coll, method)(*args, **kwargs)
+        return apply_op(peer.collection(collection), COLL, method, args, kwargs)
 
     def _read_collection(self, collection: str, method: str, *args: Any,
                          **kwargs: Any) -> Any:

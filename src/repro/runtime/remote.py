@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import (
     ProtocolError,
@@ -35,10 +35,13 @@ from repro.errors import (
 from repro.obs.registry import get_registry
 from repro.obs.trace import Span, current_trace
 from repro.runtime.protocol import (
+    COLL,
+    STORE,
     Request,
     collection_op,
     decode_response,
     encode_request,
+    forward_ops,
     store_op,
     wire_to_error,
 )
@@ -52,27 +55,27 @@ __all__ = ["RemoteShardStore", "RemoteCollection"]
 DEFAULT_TIMEOUT = 60.0
 
 
+@forward_ops(COLL)
 class RemoteCollection:
-    """Collection surface forwarded op-by-op to the worker."""
+    """Collection surface forwarded op-by-op to the worker.
+
+    Its methods derive from the op table (:func:`forward_ops`); only
+    ``update_many`` is written out, to reject what cannot cross the wire.
+    """
 
     def __init__(self, store: "RemoteShardStore", name: str) -> None:
         self._store = store
         self.name = name
 
-    def _one(self, method: str, *args: Any, **kwargs: Any) -> Any:
+    def _read(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        # One op, one round-trip.  A batched insert_many is therefore one
+        # WAL record on the worker: atomic across a crash exactly like a
+        # local durable insert_many.
         return self._store.call(
             [collection_op(self.name, method, *args, **kwargs)]
         )[0]
 
-    # -- writes -------------------------------------------------------------------
-
-    def insert_one(self, document: Mapping[str, Any]) -> int:
-        return self._one("insert_one", dict(document))
-
-    def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[int]:
-        # One op → one WAL record on the worker: the batch stays atomic
-        # across a crash exactly like a local durable insert_many.
-        return self._one("insert_many", [dict(d) for d in documents])
+    _write = _read
 
     def update_many(self, filter_doc: Mapping[str, Any], update: Any) -> int:
         if callable(update):
@@ -80,63 +83,16 @@ class RemoteCollection:
                 "callable updates cannot cross the process boundary; "
                 "use an operator document ({'$set': ...})"
             )
-        return self._one("update_many", filter_doc, update)
-
-    def delete_many(self, filter_doc: Mapping[str, Any]) -> int:
-        return self._one("delete_many", filter_doc)
-
-    # -- index DDL ----------------------------------------------------------------
-
-    def create_index(self, field: str, kind: str = "hash",
-                     unique: bool = False) -> None:
-        self._one("create_index", field, kind=kind, unique=unique)
-
-    def drop_index(self, field: str) -> None:
-        self._one("drop_index", field)
-
-    def index_fields(self) -> list[str]:
-        return self._one("index_fields")
-
-    def index_spec(self, field: str) -> dict[str, Any]:
-        return self._one("index_spec", field)
-
-    # -- reads --------------------------------------------------------------------
-
-    def find(self, filter_doc: Mapping[str, Any] | None = None,
-             projection: list[str] | None = None,
-             sort: str | tuple[str, int] | None = None,
-             limit: int | None = None,
-             skip: int = 0) -> list[dict[str, Any]]:
-        return self._one("find", filter_doc, projection=projection,
-                         sort=sort, limit=limit, skip=skip)
-
-    def find_one(self, filter_doc: Mapping[str, Any] | None = None
-                 ) -> dict[str, Any] | None:
-        return self._one("find_one", filter_doc)
-
-    def get(self, doc_id: int) -> dict[str, Any] | None:
-        return self._one("get", doc_id)
-
-    def count(self, filter_doc: Mapping[str, Any] | None = None) -> int:
-        return self._one("count", filter_doc)
-
-    def distinct(self, field: str,
-                 filter_doc: Mapping[str, Any] | None = None) -> list[Any]:
-        return self._one("distinct", field, filter_doc)
-
-    def explain(self, filter_doc: Mapping[str, Any] | None = None,
-                **kwargs: Any) -> dict[str, Any]:
-        return self._one("explain", filter_doc, **kwargs)
-
-    def all_documents(self) -> Iterator[dict[str, Any]]:
-        return iter(self._one("all_documents"))
-
-    def __len__(self) -> int:
-        return self._one("length")
+        return self._write("update_many", filter_doc, update)
 
 
+@forward_ops(STORE)
 class RemoteShardStore:
     """Store surface of one worker-hosted shard.
+
+    Pass-through methods derive from the op table (:func:`forward_ops`);
+    the ones written out below add behaviour — the collection-proxy cache,
+    recovery-stat capture, timeouts and the crash/close/shutdown lifecycle.
 
     ``recovery stats`` (``snapshot_documents`` etc.) are captured from the
     worker's first ``ping`` — the supervisor performs it as the spawn
@@ -306,6 +262,8 @@ class RemoteShardStore:
     def _store_call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         return self.call([store_op(method, *args, **kwargs)])[0]
 
+    _read = _store_call
+
     # -- store API ----------------------------------------------------------------
 
     def collection(self, name: str) -> RemoteCollection:
@@ -318,19 +276,6 @@ class RemoteShardStore:
     def drop_collection(self, name: str) -> None:
         self._store_call("drop_collection", name)
         self._collections.pop(name, None)
-
-    def collection_names(self) -> list[str]:
-        return self._store_call("collection_names")
-
-    def aggregate(self, collection: str,
-                  pipeline: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        return self._store_call("aggregate", collection, list(pipeline))
-
-    def checkpoint(self) -> Any:
-        return self._store_call("checkpoint")
-
-    def journal_ops_since_snapshot(self) -> int:
-        return self._store_call("journal_ops_since_snapshot")
 
     def metrics_snapshot(self, timeout: float | None = None) -> dict[str, Any]:
         """The worker process's full metrics snapshot (one harvest RPC)."""
@@ -351,38 +296,7 @@ class RemoteShardStore:
     @property
     def epoch(self) -> int:
         """The worker's fenced epoch (one RPC)."""
-        return int(self.replication_status()["epoch"])
-
-    def replication_status(self) -> dict[str, Any]:
-        return self._store_call("replication_status")
-
-    def set_epoch(self, epoch: int) -> int:
-        return self._store_call("set_epoch", epoch)
-
-    def apply_write(self, epoch: int, collection: str, method: str,
-                    args: list[Any] | tuple[Any, ...] = (),
-                    kwargs: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        return self._store_call(
-            "apply_write", epoch, collection, method,
-            list(args), dict(kwargs or {}),
-        )
-
-    def wal_read(self, start_lsn: int, max_records: int = 512,
-                 max_bytes: int = 1 << 20) -> dict[str, Any]:
-        return self._store_call(
-            "wal_read", start_lsn,
-            max_records=max_records, max_bytes=max_bytes,
-        )
-
-    def replica_apply(self, epoch: int, entries: list[Any]) -> int:
-        return self._store_call("replica_apply", epoch, list(entries))
-
-    def snapshot_export(self) -> dict[str, Any]:
-        return self._store_call("snapshot_export")
-
-    def snapshot_install(self, epoch: int, state: Mapping[str, Any],
-                         lsn: int) -> int:
-        return self._store_call("snapshot_install", epoch, dict(state), lsn)
+        return int(self._store_call("replication_status")["epoch"])
 
     def ping(self, timeout: float | None = None) -> dict[str, Any]:
         """Health probe; refreshes the cached worker identity and recovery

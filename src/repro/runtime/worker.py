@@ -26,7 +26,7 @@ import socket
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import (
     ProtocolError,
@@ -35,7 +35,10 @@ from repro.errors import (
 )
 from repro.runtime.framing import MAX_FRAME_BYTES
 from repro.runtime.protocol import (
+    COLL,
+    STORE,
     Response,
+    apply_op,
     decode_request,
     encode_response,
     error_to_wire,
@@ -58,6 +61,17 @@ class ShardWorker:
         self.store = store
         self.transport = transport
         self._running = False
+        #: The store ops with worker-side behaviour; every other declared
+        #: op runs on the hosted store itself (:func:`apply_op`).
+        self._handlers: dict[str, Callable[..., Any]] = {
+            "ping": self._ping,
+            "collection": self._collection,
+            "crash": self._crash,
+            "close": self._close,
+            "shutdown": self._shutdown,
+            "checkpoint": self._checkpoint,
+            "metrics_snapshot": self._metrics_snapshot,
+        }
 
     # -- op execution ---------------------------------------------------------------
 
@@ -76,44 +90,41 @@ class ShardWorker:
             "collections": store.collection_names(),
         }
 
-    def _execute_store(self, method: str, args: list[Any],
-                       kwargs: dict[str, Any]) -> Any:
-        if method == "ping":
-            return self._ping()
-        if method == "collection":
-            # Materialize only: the client keeps its own proxy object.
-            self.store.collection(*args, **kwargs)
-            return True
-        if method == "crash":
-            # Deterministic power-loss model: un-fsynced journal bytes are
-            # dropped and the store is dead; the worker exits after the ack
-            # and the supervisor restarts it over the same root.
-            if hasattr(self.store, "simulate_crash"):
-                self.store.simulate_crash()
-            self._running = False
-            return True
-        if method == "close":
-            # Mirrors DurableDocumentStore.close: journal flushed and
-            # closed, reads keep working — the worker stays up to serve
-            # them until shutdown or EOF.
-            if hasattr(self.store, "close"):
+    def _collection(self, *args: Any, **kwargs: Any) -> bool:
+        # Materialize only: the client keeps its own proxy object.
+        self.store.collection(*args, **kwargs)
+        return True
+
+    def _crash(self) -> bool:
+        # Deterministic power-loss model: un-fsynced journal bytes are
+        # dropped and the store is dead; the worker exits after the ack
+        # and the supervisor restarts it over the same root.
+        if hasattr(self.store, "simulate_crash"):
+            self.store.simulate_crash()
+        self._running = False
+        return True
+
+    def _close(self) -> bool:
+        # Mirrors DurableDocumentStore.close: journal flushed and closed,
+        # reads keep working — the worker stays up to serve them until
+        # shutdown or EOF.
+        if hasattr(self.store, "close"):
+            self.store.close()
+        return True
+
+    def _shutdown(self) -> bool:
+        if hasattr(self.store, "close"):
+            try:
                 self.store.close()
-            return True
-        if method == "shutdown":
-            if hasattr(self.store, "close"):
-                try:
-                    self.store.close()
-                except ReproError:
-                    pass  # already crashed/closed — shutdown proceeds
-            self._running = False
-            return True
-        if method == "checkpoint":
-            if hasattr(self.store, "checkpoint"):
-                return self.store.checkpoint()
-            return None
-        if method == "metrics_snapshot":
-            return self._metrics_snapshot()
-        return getattr(self.store, method)(*args, **kwargs)
+            except ReproError:
+                pass  # already crashed/closed — shutdown proceeds
+        self._running = False
+        return True
+
+    def _checkpoint(self) -> Any:
+        if hasattr(self.store, "checkpoint"):
+            return self.store.checkpoint()
+        return None
 
     def _metrics_snapshot(self) -> dict[str, Any]:
         """This process's full metrics snapshot (the harvest op).
@@ -136,33 +147,18 @@ class ShardWorker:
             garbage.inc(self.transport.resync_bytes - garbage.value)
         return build_snapshot(registry, role="worker")
 
-    def _execute_collection(self, name: str, method: str, args: list[Any],
-                            kwargs: dict[str, Any]) -> Any:
-        collection = self.store.collection(name)
-        # JSON turns a ("field", -1) sort tuple into a list; restore it so
-        # the planner's isinstance(sort, tuple) check sees the local form.
-        sort = kwargs.get("sort")
-        if isinstance(sort, list):
-            kwargs["sort"] = tuple(sort)
-        if method == "length":
-            return len(collection)
-        if method == "all_documents":
-            return list(collection.all_documents())
-        return getattr(collection, method)(*args, **kwargs)
-
     def _execute(self, op: dict[str, Any]) -> dict[str, Any]:
+        method, args, kwargs = op["m"], op.get("a", []), op.get("k", {})
         try:
-            if op["t"] == "store":
-                value = self._execute_store(op["m"], op.get("a", []),
-                                            op.get("k", {}))
+            if op["t"] == COLL:
+                value = apply_op(self.store.collection(op["c"]), COLL,
+                                 method, args, kwargs)
+            elif method in self._handlers:
+                value = self._handlers[method](*args, **kwargs)
             else:
-                value = self._execute_collection(op["c"], op["m"],
-                                                 op.get("a", []),
-                                                 op.get("k", {}))
+                value = apply_op(self.store, STORE, method, args, kwargs)
             return {"ok": True, "value": value}
-        except ReproError as exc:
-            return error_to_wire(exc)
-        except Exception as exc:  # worker-side bug: report, keep serving
+        except Exception as exc:  # incl. worker-side bugs: report, keep serving
             return error_to_wire(exc)
 
     # -- serve loop -----------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.analysis.rules import (
     ErrorRehydrationRule,
     LockDisciplineRule,
     MetricDriftRule,
-    RpcSurfaceRule,
     SpawnSafetyRule,
 )
 from repro.cli import main
@@ -168,132 +167,6 @@ class TestLockDiscipline:
             """}, rules=[LockDisciplineRule()])
         assert len(report.findings) == 1
         assert "Broker._registry_lock" in report.findings[0].message
-
-
-RPC_CONSISTENT = {
-    "protocol.py": """\
-        STORE_OPS = frozenset({"ping"})
-        COLLECTION_OPS = frozenset({"get"})
-
-        class Request:
-            id: int
-            ops: list = None
-            trace_id: str = None
-
-        class Response:
-            id: int
-            results: list = None
-        """,
-    "worker.py": """\
-        class ShardWorker:
-            def _execute_store(self, method, args, kwargs):
-                if method == "ping":
-                    return {}
-                raise RuntimeError(method)
-
-            def _execute_collection(self, name, method, args, kwargs):
-                if method == "get":
-                    return None
-                raise RuntimeError(method)
-        """,
-    "remote.py": """\
-        class RemoteShardStore:
-            def ping(self):
-                return self._store_call("ping")
-
-        class RemoteCollection:
-            def get(self, doc_id):
-                return self._one("get", doc_id)
-        """,
-}
-
-
-class TestRpcSurface:
-    def test_consistent_surface_is_clean(self, tmp_path):
-        report = run_lint(tmp_path, dict(RPC_CONSISTENT),
-                          rules=[RpcSurfaceRule()])
-        assert report.findings == []
-
-    def test_flags_every_drift_direction(self, tmp_path):
-        files = dict(RPC_CONSISTENT)
-        files["protocol.py"] = """\
-            STORE_OPS = frozenset({"ping", "unused"})
-            COLLECTION_OPS = frozenset({"get"})
-
-            class Request:
-                id: int
-                ops: list = None
-                new_key: str
-
-            class Response:
-                id: int
-                results: list = None
-            """
-        files["remote.py"] = """\
-            class RemoteShardStore:
-                def ping(self):
-                    return self._store_call("ping")
-
-                def extra(self):
-                    return self._store_call("extra")
-
-            class RemoteCollection:
-                def get(self, doc_id):
-                    return self._one("get", doc_id)
-            """
-        report = run_lint(tmp_path, files, rules=[RpcSurfaceRule()])
-        msgs = messages(report)
-        assert any("`extra` absent from protocol.STORE_OPS" in m for m in msgs)
-        assert any("allows `unused` but no remote client" in m for m in msgs)
-        assert any("`unused` has no ShardWorker handler" in m for m in msgs)
-        assert any("Request.new_key is a new wire key without a default" in m
-                   for m in msgs)
-
-    def test_getattr_fallback_resolves_against_server_classes(self, tmp_path):
-        files = dict(RPC_CONSISTENT)
-        files["protocol.py"] = """\
-            STORE_OPS = frozenset({"ping", "checkpoint", "vanish"})
-            COLLECTION_OPS = frozenset({"get"})
-            """
-        files["worker.py"] = """\
-            class ShardWorker:
-                def _execute_store(self, method, args, kwargs):
-                    if method == "ping":
-                        return {}
-                    return getattr(self.store, method)(*args, **kwargs)
-
-                def _execute_collection(self, name, method, args, kwargs):
-                    if method == "get":
-                        return None
-                    raise RuntimeError(method)
-            """
-        files["store_impl.py"] = """\
-            class DurableDocumentStore:
-                def checkpoint(self):
-                    return 0
-            """
-        files["remote.py"] = """\
-            class RemoteShardStore:
-                def ping(self):
-                    return self._store_call("ping")
-
-                def checkpoint(self):
-                    return self._store_call("checkpoint")
-
-                def vanish(self):
-                    return self._store_call("vanish")
-
-            class RemoteCollection:
-                def get(self, doc_id):
-                    return self._one("get", doc_id)
-            """
-        report = run_lint(tmp_path, files, rules=[RpcSurfaceRule()])
-        msgs = messages(report)
-        # checkpoint resolves via the DurableDocumentStore fallback; vanish
-        # resolves nowhere.
-        assert not any("checkpoint" in m for m in msgs)
-        assert any("`vanish` resolves via getattr but no fallback class" in m
-                   for m in msgs)
 
 
 class TestErrorRehydration:
@@ -589,6 +462,6 @@ class TestSelfCheck:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        for rule in ("lock-discipline", "rpc-surface", "error-rehydration",
-                     "spawn-safety", "metric-drift"):
+        for rule in ("lock-discipline", "error-rehydration", "spawn-safety",
+                     "metric-drift"):
             assert f"[{rule}]" in proc.stdout

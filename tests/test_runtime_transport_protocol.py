@@ -18,9 +18,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.runtime.protocol import (
+    OPS,
     PROTOCOL_VERSION,
+    STORE,
     Request,
     Response,
+    client_name,
     collection_op,
     decode_request,
     decode_response,
@@ -30,7 +33,7 @@ from repro.runtime.protocol import (
     store_op,
     wire_to_error,
 )
-from repro.runtime.remote import RemoteShardStore
+from repro.runtime.remote import RemoteCollection, RemoteShardStore
 from repro.runtime.transport import LoopbackTransport, SocketTransport
 from repro.runtime.worker import ShardWorker
 from repro.storage.store import DocumentStore
@@ -129,6 +132,18 @@ def test_decode_rejects_version_mismatch_and_malformed_bodies():
         decode_request(smuggled)
     with pytest.raises(ProtocolError, match="malformed result"):
         decode_response(encode_response(Response(id=1, results=[{"no": 1}])))
+
+
+@pytest.mark.parametrize("bad_id", ["x", None, [1], 1.5])
+def test_non_integer_message_id_is_a_protocol_error(bad_id):
+    import json
+
+    request = {"v": PROTOCOL_VERSION, "id": bad_id, "ops": [store_op("ping")]}
+    with pytest.raises(ProtocolError, match="id must be an integer"):
+        decode_request(json.dumps(request).encode())
+    response = {"v": PROTOCOL_VERSION, "id": bad_id, "results": []}
+    with pytest.raises(ProtocolError, match="id must be an integer"):
+        decode_response(json.dumps(response).encode())
 
 
 def test_error_rehydration():
@@ -233,6 +248,59 @@ def test_worker_survives_injected_corruption_between_requests(loopback_worker):
     assert worker.transport.resync_bytes > 0
 
 
+def test_worker_answers_malformed_ids_and_methods_and_keeps_serving(
+        loopback_worker):
+    import json
+
+    client, _ = loopback_worker
+    ping = {"t": "store", "m": "ping", "a": [], "k": {}}
+    for body in ({"v": PROTOCOL_VERSION, "id": "x", "ops": [ping]},
+                 {"v": PROTOCOL_VERSION, "id": 1,
+                  "ops": [dict(ping, m=["ping"])]}):
+        client.transport.send(json.dumps(body).encode())
+        reply = decode_response(client.transport.recv(timeout=5.0))
+        assert reply.id == -1
+        assert isinstance(wire_to_error(reply.results[0]), ProtocolError)
+    assert client.collection("alarms").count({}) == 0  # still serving
+
+
+def test_every_declared_op_has_a_client_and_resolves_on_the_worker(tmp_path):
+    from repro.durability.journal import DurableDocumentStore
+    from repro.replication.peer import LocalReplicaPeer
+    from repro.replication.replica_set import ReplicatedCollection
+
+    for op, (level, _write) in OPS.items():
+        clients = ((RemoteShardStore,) if level == STORE
+                   else (RemoteCollection, ReplicatedCollection))
+        for cls in clients:
+            assert callable(getattr(cls, client_name(op), None)), (cls, op)
+
+    # The production host shape: a worker over a replica peer over a
+    # durable store.  Every op is sent without arguments, so one that
+    # resolves fails at worst on its signature; one that does not
+    # resolve reports an AttributeError.  Lifecycle ops go last.
+    client_t, server_t = LoopbackTransport.pair()
+    store = DurableDocumentStore(tmp_path)
+    worker = ShardWorker(LocalReplicaPeer(store, tmp_path), server_t)
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    RemoteShardStore(client_t, timeout=10.0).collection("alarms")
+    lifecycle = ["close", "crash", "shutdown"]
+    names = [op for op in OPS if op not in lifecycle] + lifecycle
+    client_t.send(encode_request(Request(id=1, ops=[
+        store_op(op) if OPS[op][0] == STORE else collection_op("alarms", op)
+        for op in names
+    ])))
+    results = decode_response(client_t.recv(timeout=10.0)).results
+    assert len(results) == len(names)
+    for op, result in zip(names, results):
+        assert result["ok"] or (result["error"] != "AttributeError"
+                                and "not callable" not in result["message"]
+                                ), (op, result)
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
 def test_worker_rejects_oversized_batch_reply_gracefully():
     # A non-JSON value from a store method must fail that op, not the worker.
     class WeirdStore(DocumentStore):
@@ -280,6 +348,10 @@ def test_trace_fields_round_trip_and_stay_optional():
         Response(id=4, results=[{"ok": True, "value": None}])
     ))
     assert "spans" not in plain
+    # A v1 body written before spans existed still decodes.
+    assert decode_response(json.dumps(
+        {"v": 1, "id": 5, "results": [{"ok": True, "value": 1}]}
+    ).encode()) == Response(id=5, results=[{"ok": True, "value": 1}])
 
 
 def test_decode_rejects_malformed_spans():
