@@ -105,9 +105,10 @@ class ConsumerApplication:
     parallel_ml:
         Run the per-partition ML tasks on a thread pool.  Off by default:
         the classifiers are already vectorized with numpy and, under
-        CPython's GIL, thread-level parallelism slows this workload down —
-        a real divergence from the paper's Spark cluster, documented in
-        EXPERIMENTS.md.
+        CPython's GIL, thread-level parallelism slows this workload down.
+        This is a real divergence from the paper's Spark cluster, whose
+        executors verify partitions on separate cores; here the tasks take
+        turns holding one interpreter lock, and the pool adds hand-off cost.
     keep_verifications:
         Retain every verification in the report (disable for throughput
         benchmarks to avoid unbounded memory).

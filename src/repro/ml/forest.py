@@ -4,6 +4,11 @@ The paper's best model on the Sitasys data (Figure 10: up to 92% accuracy)
 with the Table 3 configuration — 50 trees of maximum depth 30.  Probabilities
 are the mean of per-tree leaf distributions, which is what the verification
 service exposes to operators as the alarm confidence.
+
+``fit`` builds one node table holding every tree (``repro.ml.tree._FlatTree``)
+and prediction routes all rows through all trees in one level-synchronous
+pass over it, summing leaf distributions in tree order so the mean is
+bit-identical to averaging the trees one by one.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.base import BaseClassifier, check_Xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _FlatTree
 
 __all__ = ["RandomForestClassifier"]
 
@@ -69,6 +74,7 @@ class RandomForestClassifier(BaseClassifier):
         self.n_features_: int | None = None
         self.oob_score_: float | None = None
         self.feature_importances_: np.ndarray | None = None
+        self._table: _FlatTree | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit ``n_estimators`` trees on bootstrap resamples of ``(X, y)``."""
@@ -118,13 +124,22 @@ class RandomForestClassifier(BaseClassifier):
                 self.oob_score_ = float(np.mean(oob_pred == y[covered]))
             else:
                 self.oob_score_ = 0.0
+        self._table = _FlatTree([tree.root_ for tree in self.trees_], self.n_classes_)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of per-tree leaf distributions."""
+        """Mean of per-tree leaf distributions, from the forest's node table."""
         X = self._check_predict_input(X)
         assert self.trees_ is not None and self.n_classes_ is not None
-        total = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.predict_proba(X)
-        return total / len(self.trees_)
+        # Absent after unpickling, and from forests pickled before the
+        # table existed.
+        if getattr(self, "_table", None) is None:
+            self._table = _FlatTree(
+                [tree.root_ for tree in self.trees_], self.n_classes_
+            )
+        return self._table.predict_proba(X)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_table"] = None  # rebuilt on first prediction after unpickling
+        return state

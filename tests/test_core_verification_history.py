@@ -4,9 +4,10 @@ import pytest
 
 from repro.core import AlarmHistory, VerificationService
 from repro.core.labeling import label_alarms
+from repro.core.verification import ALARM_FEATURES
 from repro.datasets import SitasysGenerator
 from repro.errors import ConfigurationError
-from repro.ml import FeaturePipeline, LogisticRegression
+from repro.ml import FeaturePipeline, LogisticRegression, RandomForestClassifier
 from repro.risk import RiskModel
 from repro.storage import DocumentStore
 
@@ -87,6 +88,29 @@ class TestVerificationService:
     def test_invalid_risk_kind_raises(self, service):
         with pytest.raises(ConfigurationError):
             VerificationService(service.pipeline, risk_kind="cubic")
+
+    def test_forest_verdicts_do_not_depend_on_batch_size(self):
+        """One whole-window call and per-alarm calls agree bit for bit.
+
+        The bench-sized forest (30 trees, depth 25, ordinal encoding) on a
+        seed whose window holds probability-0.5 ties: a verdict at a tie
+        flips on the last bit of the mean, so this pins exact equality.
+        """
+        alarms = SitasysGenerator(num_devices=300, seed=2).generate(1200)
+        labeled = label_alarms(alarms[:800], 60.0)
+        pipe = FeaturePipeline(
+            RandomForestClassifier(n_estimators=30, max_depth=25, random_state=2),
+            categorical_features=ALARM_FEATURES, encoding="ordinal",
+        )
+        pipe.fit([l.features() for l in labeled], [l.is_false for l in labeled])
+        service = VerificationService(pipe)
+        window = alarms[800:]
+        whole = service.verify_batch(window)
+        single = [service.verify(alarm) for alarm in window]
+        assert any(v.probability_false == 0.5 for v in whole)
+        assert [(v.is_false, v.probability_false) for v in whole] == [
+            (v.is_false, v.probability_false) for v in single
+        ]
 
 
 class TestAlarmHistory:
